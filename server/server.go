@@ -7,15 +7,16 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	alex "repro"
 	"repro/internal/repl"
@@ -106,6 +107,7 @@ var (
 // shared thread-safe index.
 type Server struct {
 	idx Store
+	dg  Degrader // idx as a Degrader, nil when it is not one
 
 	// ReadOnly rejects every mutating command ("ERR read-only
 	// replica"), the replica mode of a server fed by a repl.Follower.
@@ -134,7 +136,8 @@ type Server struct {
 
 // New returns a server over idx.
 func New(idx Store) *Server {
-	return &Server{idx: idx, conns: make(map[net.Conn]struct{}), stop: make(chan struct{})}
+	dg, _ := idx.(Degrader)
+	return &Server{idx: idx, dg: dg, conns: make(map[net.Conn]struct{}), stop: make(chan struct{})}
 }
 
 // Serve accepts connections until the listener is closed; each
@@ -188,71 +191,197 @@ func (s *Server) Close() {
 	s.handlers.Wait()
 }
 
+// maxLine caps one command line, newline included: a pipelined MSET of
+// tens of thousands of pairs is the workload the batch commands exist
+// for. A longer line gets one ERR reply and ends the connection.
+const maxLine = 1 << 20
+
+// maxReplyLine bounds one reply line built by append ("KEY " + a
+// %.17g float + " " + a uint64 + "\n" is at most 50 bytes).
+const maxReplyLine = 64
+
+// maxKeptFields bounds the field slice a connection keeps between
+// commands, so one huge MSET does not pin its token table for the
+// connection's lifetime.
+const maxKeptFields = 4096
+
+// session is the per-connection state of Handle. Its buffers are
+// reused across commands, so a warm connection parses a request and
+// formats its reply without allocating.
+type session struct {
+	rw     io.ReadWriter
+	br     *bufio.Reader
+	w      *bufio.Writer
+	long   []byte   // assembles a line longer than br's buffer
+	fields [][]byte // the current line's fields, aliasing br or long
+	cmd    [16]byte // the upper-cased command word
+}
+
 // Handle speaks the protocol on one stream until EOF or QUIT. Exposed
 // for tests (net.Pipe) and embedding.
 func (s *Server) Handle(rw io.ReadWriter) {
-	sc := bufio.NewScanner(rw)
-	// 1 MiB lines: a pipelined MSET of tens of thousands of pairs is the
-	// workload the batch commands exist for.
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	w := bufio.NewWriter(rw)
-	defer w.Flush()
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	c := &session{rw: rw, br: bufio.NewReaderSize(rw, 64<<10), w: bufio.NewWriter(rw)}
+	defer c.w.Flush()
+	for {
+		line, err := c.readLine()
+		if c.fields = splitFields(c.fields[:0], line); len(c.fields) > 0 {
+			if quit := s.dispatch(c); quit {
+				return
+			}
+			if cap(c.fields) > maxKeptFields {
+				c.fields = nil
+			}
 		}
-		if fields := strings.Fields(line); strings.ToUpper(fields[0]) == "REPLICATE" {
-			// REPLICATE takes over the connection as a binary record
-			// stream; it never returns to the command loop.
-			s.handleReplicate(rw, w, fields[1:])
-			w.Flush()
+		if err == io.EOF {
 			return
 		}
-		if quit := s.dispatch(w, line); quit {
-			break
-		}
-		if err := w.Flush(); err != nil {
+		if err != nil {
+			// Tell the client why the connection is going away (e.g. a
+			// command line beyond maxLine) instead of a bare reset, then
+			// drain a bounded amount of the already-sent input so the
+			// close doesn't RST the reply away before the client reads it.
+			fmt.Fprintf(c.w, "ERR %v\n", err)
+			if c.w.Flush() == nil {
+				io.Copy(io.Discard, io.LimitReader(rw, 1<<20))
+			}
 			return
 		}
-	}
-	if err := sc.Err(); err != nil {
-		// Tell the client why the connection is going away (e.g. a
-		// command line beyond the buffer limit) instead of a bare reset,
-		// then drain a bounded amount of the already-sent input so the
-		// close doesn't RST the reply away before the client reads it.
-		fmt.Fprintf(w, "ERR %v\n", err)
-		if w.Flush() == nil {
-			io.Copy(io.Discard, io.LimitReader(rw, 1<<20))
+		// Pipelined commands share one write: flush only when the next
+		// read could block, i.e. no further complete line is buffered.
+		if !c.lineBuffered() && c.w.Flush() != nil {
+			return
 		}
 	}
 }
 
-// dispatch executes one command line; it reports whether the client quit.
-func (s *Server) dispatch(w *bufio.Writer, line string) bool {
-	fields := strings.Fields(line)
-	cmd := strings.ToUpper(fields[0])
-	args := fields[1:]
+// readLine returns the next line, newline included, valid until the
+// next call. A final line without a newline comes back together with
+// the error that ended the input (io.EOF at a clean end). A line over
+// maxLine returns bufio.ErrTooLong, the cause the ERR reply names.
+func (c *session) readLine() ([]byte, error) {
+	line, err := c.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	c.long = append(c.long[:0], line...)
+	for {
+		line, err = c.br.ReadSlice('\n')
+		if len(c.long)+len(line) > maxLine {
+			return nil, bufio.ErrTooLong
+		}
+		c.long = append(c.long, line...)
+		if err != bufio.ErrBufferFull {
+			return c.long, err
+		}
+	}
+}
+
+// lineBuffered reports whether a complete line is already buffered, so
+// reading it cannot block.
+func (c *session) lineBuffered() bool {
+	buf, _ := c.br.Peek(c.br.Buffered())
+	return bytes.IndexByte(buf, '\n') >= 0
+}
+
+// asciiSpace marks the bytes strings.Fields splits on in ASCII input.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields appends the whitespace-separated fields of line to dst,
+// exactly as strings.Fields splits them. A line with a non-ASCII byte
+// takes bytes.Fields, which knows the Unicode spaces.
+func splitFields(dst [][]byte, line []byte) [][]byte {
+	n, start := len(dst), -1
+	for i, ch := range line {
+		if ch >= utf8.RuneSelf {
+			return append(dst[:n], bytes.Fields(line)...)
+		}
+		if asciiSpace[ch] {
+			if start >= 0 {
+				dst = append(dst, line[start:i:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:len(line):len(line)])
+	}
+	return dst
+}
+
+// upperCmd returns the command word upper-cased as strings.ToUpper
+// would, in c's buffer when it is short ASCII, the only shape a known
+// command has.
+func (c *session) upperCmd(word []byte) []byte {
+	if len(word) > len(c.cmd) {
+		return bytes.ToUpper(word)
+	}
+	for i, ch := range word {
+		if ch >= utf8.RuneSelf {
+			return bytes.ToUpper(word)
+		}
+		if 'a' <= ch && ch <= 'z' {
+			ch -= 'a' - 'A'
+		}
+		c.cmd[i] = ch
+	}
+	return c.cmd[:len(word)]
+}
+
+// replyBuf returns w's free buffer for appending one reply line of at
+// most maxReplyLine bytes, flushing first if it could not hold one, so
+// the append never reallocates.
+func replyBuf(w *bufio.Writer) []byte {
+	if w.Available() < maxReplyLine {
+		w.Flush()
+	}
+	return w.AvailableBuffer()
+}
+
+// writeUint writes "<prefix><v>\n".
+func writeUint(w *bufio.Writer, prefix string, v uint64) {
+	b := append(replyBuf(w), prefix...)
+	b = strconv.AppendUint(b, v, 10)
+	w.Write(append(b, '\n'))
+}
+
+// writeKey writes one SCAN line, "KEY <k as %.17g> <v>\n".
+func writeKey(w *bufio.Writer, k float64, v uint64) {
+	b := append(replyBuf(w), "KEY "...)
+	b = strconv.AppendFloat(b, k, 'g', 17, 64)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, v, 10)
+	w.Write(append(b, '\n'))
+}
+
+// dispatch executes the command in c.fields; it reports whether the
+// connection is done (QUIT, or REPLICATE took it over).
+func (s *Server) dispatch(c *session) bool {
+	w := c.w
+	cmd := c.upperCmd(c.fields[0])
+	args := c.fields[1:]
 	if s.ReadOnly {
-		switch cmd {
+		switch string(cmd) {
 		case "SET", "DEL", "MSET", "MDEL", "SAVE", "BGSAVE":
 			fmt.Fprintln(w, "ERR read-only replica: writes go to the primary")
 			return false
 		}
 	}
-	switch cmd {
-	case "SET", "DEL", "MSET", "MDEL":
-		// Degraded fast path: a poisoned store rejects every write with
-		// the cause; reads below keep serving. A degradation that lands
-		// mid-command instead surfaces through writeGuarded.
-		if dg, ok := s.idx.(Degrader); ok {
-			if err := dg.Degraded(); err != nil {
+	if s.dg != nil {
+		switch string(cmd) {
+		case "SET", "DEL", "MSET", "MDEL":
+			// Degraded fast path: a poisoned store rejects every write
+			// with the cause; reads below keep serving. A degradation
+			// that lands mid-command instead surfaces through
+			// writeGuarded.
+			if err := s.dg.Degraded(); err != nil {
 				fmt.Fprintf(w, "ERR degraded: %v\n", err)
 				return false
 			}
 		}
 	}
-	switch cmd {
+	switch string(cmd) {
 	case "GET":
 		key, err := wantKey(args, 1)
 		if err != nil {
@@ -260,9 +389,9 @@ func (s *Server) dispatch(w *bufio.Writer, line string) bool {
 			return false
 		}
 		if v, ok := s.idx.Get(key); ok {
-			fmt.Fprintf(w, "VALUE %d\n", v)
+			writeUint(w, "VALUE ", v)
 		} else {
-			fmt.Fprintln(w, "NOTFOUND")
+			w.WriteString("NOTFOUND\n")
 		}
 	case "SET":
 		if len(args) != 2 {
@@ -274,16 +403,16 @@ func (s *Server) dispatch(w *bufio.Writer, line string) bool {
 			fmt.Fprintf(w, "ERR %v\n", err)
 			return false
 		}
-		val, err := strconv.ParseUint(args[1], 10, 64)
+		val, err := strconv.ParseUint(string(args[1]), 10, 64)
 		if err != nil {
 			fmt.Fprintf(w, "ERR bad value: %v\n", err)
 			return false
 		}
 		writeGuarded(w, func() {
 			if s.idx.Insert(key, val) {
-				fmt.Fprintln(w, "OK inserted")
+				w.WriteString("OK inserted\n")
 			} else {
-				fmt.Fprintln(w, "OK updated")
+				w.WriteString("OK updated\n")
 			}
 		})
 	case "DEL":
@@ -294,30 +423,13 @@ func (s *Server) dispatch(w *bufio.Writer, line string) bool {
 		}
 		writeGuarded(w, func() {
 			if s.idx.Delete(key) {
-				fmt.Fprintln(w, "OK")
+				w.WriteString("OK\n")
 			} else {
-				fmt.Fprintln(w, "NOTFOUND")
+				w.WriteString("NOTFOUND\n")
 			}
 		})
 	case "MGET":
-		sc := scratchPool.Get().(*batchScratch)
-		defer scratchPool.Put(sc)
-		keys, err := parseKeysInto(args, 1, sc.keys[:0])
-		sc.keys = keys
-		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return false
-		}
-		vals, found := sc.results(len(keys))
-		s.idx.GetBatchInto(keys, vals, found)
-		for i := range keys {
-			if found[i] {
-				fmt.Fprintf(w, "VALUE %d\n", vals[i])
-			} else {
-				fmt.Fprintln(w, "NOTFOUND")
-			}
-		}
-		fmt.Fprintln(w, "END")
+		s.mget(w, args)
 	case "MSET":
 		if len(args) < 2 || len(args)%2 != 0 {
 			fmt.Fprintln(w, "ERR usage: MSET <key> <value> [<key> <value> ...]")
@@ -331,7 +443,7 @@ func (s *Server) dispatch(w *bufio.Writer, line string) bool {
 				fmt.Fprintf(w, "ERR %v\n", err)
 				return false
 			}
-			val, err := strconv.ParseUint(args[i+1], 10, 64)
+			val, err := strconv.ParseUint(string(args[i+1]), 10, 64)
 			if err != nil {
 				fmt.Fprintf(w, "ERR bad value: %v\n", err)
 				return false
@@ -340,7 +452,7 @@ func (s *Server) dispatch(w *bufio.Writer, line string) bool {
 			vals = append(vals, val)
 		}
 		writeGuarded(w, func() {
-			fmt.Fprintf(w, "OK %d\n", s.idx.InsertBatch(keys, vals))
+			writeUint(w, "OK ", uint64(s.idx.InsertBatch(keys, vals)))
 		})
 	case "MDEL":
 		keys, err := parseKeys(args, 1)
@@ -349,35 +461,10 @@ func (s *Server) dispatch(w *bufio.Writer, line string) bool {
 			return false
 		}
 		writeGuarded(w, func() {
-			fmt.Fprintf(w, "OK %d\n", s.idx.DeleteBatch(keys))
+			writeUint(w, "OK ", uint64(s.idx.DeleteBatch(keys)))
 		})
 	case "SCAN":
-		if len(args) != 2 {
-			fmt.Fprintln(w, "ERR usage: SCAN <start> <n>")
-			return false
-		}
-		start, err := parseKey(args[0])
-		if err != nil {
-			fmt.Fprintf(w, "ERR bad start: %v\n", err)
-			return false
-		}
-		n, err := strconv.Atoi(args[1])
-		if err != nil || n < 0 {
-			fmt.Fprintln(w, "ERR bad count")
-			return false
-		}
-		const maxScan = 10000
-		if n > maxScan {
-			n = maxScan
-		}
-		sc := scratchPool.Get().(*batchScratch)
-		defer scratchPool.Put(sc)
-		keys, vals := s.idx.ScanNInto(start, n, sc.keys[:0], sc.vals[:0])
-		sc.keys, sc.vals = keys, vals
-		for i := range keys {
-			fmt.Fprintf(w, "KEY %.17g %d\n", keys[i], vals[i])
-		}
-		fmt.Fprintln(w, "END")
+		s.scan(w, args)
 	case "LEN":
 		fmt.Fprintf(w, "LEN %d\n", s.idx.Len())
 	case "STATS":
@@ -423,8 +510,8 @@ func (s *Server) dispatch(w *bufio.Writer, line string) bool {
 		// One line a probe can act on: OK (writable), OK read-only (a
 		// replica — healthy but not writable here), or DEGRADED with
 		// the poisoning cause.
-		if dg, ok := s.idx.(Degrader); ok {
-			if err := dg.Degraded(); err != nil {
+		if s.dg != nil {
+			if err := s.dg.Degraded(); err != nil {
 				fmt.Fprintf(w, "DEGRADED %v\n", err)
 				return false
 			}
@@ -441,7 +528,7 @@ func (s *Server) dispatch(w *bufio.Writer, line string) bool {
 			fmt.Fprintln(w, "ROLE primary")
 			fmt.Fprintf(w, "POSITION %d %d\n", seg, off)
 			fmt.Fprintf(w, "CHECKPOINTS %d\n", ix.Checkpoints())
-			if dg, ok := s.idx.(Degrader); ok && dg.Degraded() != nil {
+			if s.dg != nil && s.dg.Degraded() != nil {
 				fmt.Fprintln(w, "DEGRADED true")
 			}
 			for _, f := range ix.Followers() {
@@ -480,6 +567,11 @@ func (s *Server) dispatch(w *bufio.Writer, line string) bool {
 				return true
 			}
 		}
+	case "REPLICATE":
+		// REPLICATE takes over the connection as a binary record stream;
+		// it never returns to the command loop.
+		s.handleReplicate(c.rw, w, args)
+		return true
 	case "QUIT":
 		fmt.Fprintln(w, "BYE")
 		return true
@@ -489,13 +581,68 @@ func (s *Server) dispatch(w *bufio.Writer, line string) bool {
 	return false
 }
 
+// mget serves MGET from pooled buffers. MGET and SCAN live outside
+// dispatch so their deferred Put is open-coded: dispatch has too many
+// returns for that, and would run the runtime's deferreturn on every
+// command.
+func (s *Server) mget(w *bufio.Writer, args [][]byte) {
+	sc := scratchPool.Get().(*batchScratch)
+	defer scratchPool.Put(sc)
+	keys, err := parseKeysInto(args, 1, sc.keys[:0])
+	sc.keys = keys
+	if err != nil {
+		fmt.Fprintf(w, "ERR %v\n", err)
+		return
+	}
+	vals, found := sc.results(len(keys))
+	s.idx.GetBatchInto(keys, vals, found)
+	for i := range keys {
+		if found[i] {
+			writeUint(w, "VALUE ", vals[i])
+		} else {
+			w.WriteString("NOTFOUND\n")
+		}
+	}
+	w.WriteString("END\n")
+}
+
+// scan serves SCAN from pooled buffers.
+func (s *Server) scan(w *bufio.Writer, args [][]byte) {
+	if len(args) != 2 {
+		fmt.Fprintln(w, "ERR usage: SCAN <start> <n>")
+		return
+	}
+	start, err := parseKey(args[0])
+	if err != nil {
+		fmt.Fprintf(w, "ERR bad start: %v\n", err)
+		return
+	}
+	n, err := strconv.Atoi(string(args[1]))
+	if err != nil || n < 0 {
+		fmt.Fprintln(w, "ERR bad count")
+		return
+	}
+	const maxScan = 10000
+	if n > maxScan {
+		n = maxScan
+	}
+	sc := scratchPool.Get().(*batchScratch)
+	defer scratchPool.Put(sc)
+	keys, vals := s.idx.ScanNInto(start, n, sc.keys[:0], sc.vals[:0])
+	sc.keys, sc.vals = keys, vals
+	for i := range keys {
+		writeKey(w, keys[i], vals[i])
+	}
+	w.WriteString("END\n")
+}
+
 // handleReplicate serves one follower's record stream: validate the
 // requested position, reply STREAM (or TRUNCATED — the re-bootstrap
 // signal), then ship every committed record from there on, blocking at
 // the live tail until the next group commit lands. The stream ends
 // only when the connection dies, the server closes, or the tailer hits
 // truncated/corrupt history (the follower reconnects and re-syncs).
-func (s *Server) handleReplicate(rw io.ReadWriter, w *bufio.Writer, args []string) {
+func (s *Server) handleReplicate(rw io.ReadWriter, w *bufio.Writer, args [][]byte) {
 	rep, ok := s.idx.(Replicator)
 	if !ok {
 		fmt.Fprintln(w, "ERR store does not replicate")
@@ -505,8 +652,8 @@ func (s *Server) handleReplicate(rw io.ReadWriter, w *bufio.Writer, args []strin
 		fmt.Fprintln(w, "ERR usage: REPLICATE <segment> <offset>")
 		return
 	}
-	seg, err1 := strconv.ParseUint(args[0], 10, 64)
-	off, err2 := strconv.ParseInt(args[1], 10, 64)
+	seg, err1 := strconv.ParseUint(string(args[0]), 10, 64)
+	off, err2 := strconv.ParseInt(string(args[1]), 10, 64)
 	if err1 != nil || err2 != nil || off < 0 {
 		fmt.Fprintln(w, "ERR bad position")
 		return
@@ -635,7 +782,7 @@ func boolInt(b bool) int {
 	return 0
 }
 
-func wantKey(args []string, n int) (float64, error) {
+func wantKey(args [][]byte, n int) (float64, error) {
 	if len(args) != n {
 		return 0, errors.New("wrong argument count")
 	}
@@ -644,8 +791,8 @@ func wantKey(args []string, n int) (float64, error) {
 
 // parseKey parses one key, rejecting the non-finite values the index
 // panics on ("NaN", "Inf" and friends parse as valid floats).
-func parseKey(arg string) (float64, error) {
-	k, err := strconv.ParseFloat(arg, 64)
+func parseKey(arg []byte) (float64, error) {
+	k, err := strconv.ParseFloat(string(arg), 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad key: %v", err)
 	}
@@ -656,7 +803,7 @@ func parseKey(arg string) (float64, error) {
 }
 
 // parseKeys parses at least min keys from args.
-func parseKeys(args []string, min int) ([]float64, error) {
+func parseKeys(args [][]byte, min int) ([]float64, error) {
 	if len(args) < min {
 		return nil, errors.New("wrong argument count")
 	}
@@ -665,7 +812,7 @@ func parseKeys(args []string, min int) ([]float64, error) {
 
 // parseKeysInto is parseKeys appending into a caller-supplied slice, so
 // pooled command buffers can be reused across requests.
-func parseKeysInto(args []string, min int, keys []float64) ([]float64, error) {
+func parseKeysInto(args [][]byte, min int, keys []float64) ([]float64, error) {
 	if len(args) < min {
 		return keys, errors.New("wrong argument count")
 	}
