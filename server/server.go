@@ -191,11 +191,6 @@ func (s *Server) Close() {
 	s.handlers.Wait()
 }
 
-// maxLine caps one command line, newline included: a pipelined MSET of
-// tens of thousands of pairs is the workload the batch commands exist
-// for. A longer line gets one ERR reply and ends the connection.
-const maxLine = 1 << 20
-
 // maxReplyLine bounds one reply line built by append ("KEY " + a
 // %.17g float + " " + a uint64 + "\n" is at most 50 bytes).
 const maxReplyLine = 64
@@ -210,77 +205,44 @@ const maxKeptFields = 4096
 // formats its reply without allocating.
 type session struct {
 	rw     io.ReadWriter
-	br     *bufio.Reader
 	w      *bufio.Writer
-	long   []byte   // assembles a line longer than br's buffer
-	fields [][]byte // the current line's fields, aliasing br or long
+	fields [][]byte // the current line's fields, aliasing the scanner's buffer
 	cmd    [16]byte // the upper-cased command word
 }
 
 // Handle speaks the protocol on one stream until EOF or QUIT. Exposed
 // for tests (net.Pipe) and embedding.
 func (s *Server) Handle(rw io.ReadWriter) {
-	c := &session{rw: rw, br: bufio.NewReaderSize(rw, 64<<10), w: bufio.NewWriter(rw)}
+	sc := bufio.NewScanner(rw)
+	// 1 MiB lines: a pipelined MSET of tens of thousands of pairs is the
+	// workload the batch commands exist for.
+	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	c := &session{rw: rw, w: bufio.NewWriter(rw)}
 	defer c.w.Flush()
-	for {
-		line, err := c.readLine()
-		if c.fields = splitFields(c.fields[:0], line); len(c.fields) > 0 {
-			if quit := s.dispatch(c); quit {
-				return
-			}
-			if cap(c.fields) > maxKeptFields {
-				c.fields = nil
-			}
+	for sc.Scan() {
+		if c.fields = splitFields(c.fields[:0], sc.Bytes()); len(c.fields) == 0 {
+			continue
 		}
-		if err == io.EOF {
+		if quit := s.dispatch(c); quit {
 			return
 		}
-		if err != nil {
-			// Tell the client why the connection is going away (e.g. a
-			// command line beyond maxLine) instead of a bare reset, then
-			// drain a bounded amount of the already-sent input so the
-			// close doesn't RST the reply away before the client reads it.
-			fmt.Fprintf(c.w, "ERR %v\n", err)
-			if c.w.Flush() == nil {
-				io.Copy(io.Discard, io.LimitReader(rw, 1<<20))
-			}
-			return
+		if cap(c.fields) > maxKeptFields {
+			c.fields = nil
 		}
-		// Pipelined commands share one write: flush only when the next
-		// read could block, i.e. no further complete line is buffered.
-		if !c.lineBuffered() && c.w.Flush() != nil {
+		if err := c.w.Flush(); err != nil {
 			return
 		}
 	}
-}
-
-// readLine returns the next line, newline included, valid until the
-// next call. A final line without a newline comes back together with
-// the error that ended the input (io.EOF at a clean end). A line over
-// maxLine returns bufio.ErrTooLong, the cause the ERR reply names.
-func (c *session) readLine() ([]byte, error) {
-	line, err := c.br.ReadSlice('\n')
-	if err != bufio.ErrBufferFull {
-		return line, err
-	}
-	c.long = append(c.long[:0], line...)
-	for {
-		line, err = c.br.ReadSlice('\n')
-		if len(c.long)+len(line) > maxLine {
-			return nil, bufio.ErrTooLong
-		}
-		c.long = append(c.long, line...)
-		if err != bufio.ErrBufferFull {
-			return c.long, err
+	if err := sc.Err(); err != nil {
+		// Tell the client why the connection is going away (e.g. a
+		// command line beyond the buffer limit) instead of a bare reset,
+		// then drain a bounded amount of the already-sent input so the
+		// close doesn't RST the reply away before the client reads it.
+		fmt.Fprintf(c.w, "ERR %v\n", err)
+		if c.w.Flush() == nil {
+			io.Copy(io.Discard, io.LimitReader(rw, 1<<20))
 		}
 	}
-}
-
-// lineBuffered reports whether a complete line is already buffered, so
-// reading it cannot block.
-func (c *session) lineBuffered() bool {
-	buf, _ := c.br.Peek(c.br.Buffered())
-	return bytes.IndexByte(buf, '\n') >= 0
 }
 
 // asciiSpace marks the bytes strings.Fields splits on in ASCII input.

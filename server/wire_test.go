@@ -2,8 +2,8 @@ package server
 
 // Byte-level checks of the protocol layer's own parsing and reply
 // formatting: replies equal the fmt-formatted lines they replaced, the
-// tokenizer splits exactly as strings.Fields, pipelined replies share
-// writes, and the line-length limits hold.
+// tokenizer splits exactly as strings.Fields, and a failed reply write
+// stops the connection.
 
 import (
 	"bytes"
@@ -11,11 +11,9 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"net"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	alex "repro"
 )
@@ -101,8 +99,8 @@ func (st *stubStore) Flush() error        { return nil }
 func (st *stubStore) Close() error        { return nil }
 func (st *stubStore) Degraded() error     { return nil }
 
-// stepConn hands Handle one request per Read. Handle flushes before
-// any read that could block, so the Read asking for the next request
+// stepConn hands Handle one request per Read. Handle flushes each
+// reply before it reads on, so the Read asking for the next request
 // marks the previous reply complete.
 type stepConn struct {
 	req   chan []byte
@@ -262,90 +260,32 @@ func FuzzSplitFields(f *testing.F) {
 	})
 }
 
-// writeCounter is an in-memory connection that counts Write calls.
-type writeCounter struct {
+// failConn is an in-memory connection whose writes fail after the
+// first one, a peer that stopped reading.
+type failConn struct {
 	in     io.Reader
-	out    bytes.Buffer
 	writes int
 }
 
-func (c *writeCounter) Read(p []byte) (int, error) { return c.in.Read(p) }
+func (c *failConn) Read(p []byte) (int, error) { return c.in.Read(p) }
 
-func (c *writeCounter) Write(p []byte) (int, error) {
-	c.writes++
-	return c.out.Write(p)
+func (c *failConn) Write(p []byte) (int, error) {
+	if c.writes++; c.writes > 1 {
+		return 0, io.ErrClosedPipe
+	}
+	return len(p), nil
 }
 
-// TestPipelinedRepliesShareWrites: a burst of GETs arriving in one
-// write is answered in order with a handful of writes, not one per
-// command.
-func TestPipelinedRepliesShareWrites(t *testing.T) {
-	const n = 1000
-	idx := alex.NewSharded(4)
-	var req, want strings.Builder
-	for i := 0; i < n; i++ {
-		idx.Insert(float64(i), uint64(i*3))
-		fmt.Fprintf(&req, "GET %d\n", i)
-		fmt.Fprintf(&want, "VALUE %d\n", i*3)
-	}
-	c := &writeCounter{in: strings.NewReader(req.String())}
-	New(idx).Handle(c)
-	if c.out.String() != want.String() {
-		t.Fatalf("pipelined replies differ: got %d bytes, want %d", c.out.Len(), want.Len())
-	}
-	if c.writes > n/100 {
-		t.Fatalf("%d GETs took %d writes, want at most %d", n, c.writes, n/100)
-	}
-}
-
-// TestReplyFlushedBeforeBlockingRead: a reply goes out as soon as no
-// complete line is left, even when a blank line or the start of the
-// next command is already buffered behind it.
-func TestReplyFlushedBeforeBlockingRead(t *testing.T) {
+// TestWriteFailureStopsCommands: once a reply cannot be written, Handle
+// runs none of the commands still buffered behind it.
+func TestWriteFailureStopsCommands(t *testing.T) {
 	idx := alex.NewSharded(2)
-	idx.Insert(1, 10)
-	idx.Insert(2, 20)
-	cc, sc := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		New(idx).Handle(sc)
-		sc.Close()
-		close(done)
-	}()
-	defer func() { cc.Close(); <-done }()
-	// A reply held back behind a blocking read fails the test at the
-	// deadline instead of hanging it.
-	cc.SetDeadline(time.Now().Add(10 * time.Second))
-	buf := make([]byte, 64)
-	for _, step := range []struct{ send, want string }{
-		{"GET 1\n\nGE", "VALUE 10\n"},
-		{"T 2\n", "VALUE 20\n"},
-	} {
-		if _, err := io.WriteString(cc, step.send); err != nil {
-			t.Fatal(err)
-		}
-		n, err := io.ReadAtLeast(cc, buf, len(step.want))
-		if err != nil || string(buf[:n]) != step.want {
-			t.Fatalf("after %q: read %q (%v), want %q", step.send, buf[:n], err, step.want)
-		}
-	}
-}
-
-// TestLineLimits: a line of maxLine bytes, newline included, is served
-// and one byte more gets the ERR reply that ends the connection; a
-// final line without a newline is served.
-func TestLineLimits(t *testing.T) {
-	long := "LEN" + strings.Repeat(" ", maxLine-4)
-	for _, tc := range []struct{ in, want string }{
-		{long + "\n", "LEN 0\n"},
-		{long + " \nLEN\n", "ERR bufio.Scanner: token too long\n"},
-		{"LEN\nLEN", "LEN 0\nLEN 0\n"},
-		{"\n \r\n\tlen \r\n", "LEN 0\n"},
-	} {
-		c := &writeCounter{in: strings.NewReader(tc.in)}
-		New(alex.NewSharded(1)).Handle(c)
-		if got := c.out.String(); got != tc.want {
-			t.Fatalf("%d-byte input -> %.80q, want %.80q", len(tc.in), got, tc.want)
+	c := &failConn{in: strings.NewReader("SET 1 10\nSET 2 20\nSET 3 30\nMSET 4 40 5 50\nDEL 1\n")}
+	New(idx).Handle(c)
+	// SET 2 ran before its reply failed to go out; nothing after it did.
+	for k, want := range map[float64]bool{1: true, 2: true, 3: false, 4: false, 5: false} {
+		if _, ok := idx.Get(k); ok != want {
+			t.Errorf("key %v present = %v, want %v", k, ok, want)
 		}
 	}
 }
