@@ -1,6 +1,7 @@
 package alex_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -220,5 +221,128 @@ func TestSyncBatchConcurrent(t *testing.T) {
 	wg.Wait()
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// batchWriter is the batch write surface of the concurrent stores.
+type batchWriter interface {
+	InsertBatch(keys []float64, payloads []uint64) int
+	DeleteBatch(keys []float64) int
+	Merge(keys []float64, payloads []uint64) int
+	Insert(key float64, payload uint64) bool
+	Get(key float64) (uint64, bool)
+	Len() int
+	CheckInvariants() error
+}
+
+// TestBatchWritesRetainNothing: InsertBatch, DeleteBatch and Merge keep
+// no reference to the caller's slices once they return — the server
+// reuses one key/value scratch per connection for MSET/MDEL on that
+// promise. After every call the slices are overwritten, and the store
+// (and, for DurableIndex, the store recovered from its WAL) must still
+// hold exactly what the calls wrote.
+func TestBatchWritesRetainNothing(t *testing.T) {
+	dir := t.TempDir()
+	stores := []struct {
+		name string
+		open func() batchWriter
+	}{
+		{"Sharded", func() batchWriter { return alex.NewSharded(4, alex.WithSplitOnInsert(), alex.WithMaxKeysPerLeaf(256)) }},
+		{"Sync", func() batchWriter { return alex.NewSync() }},
+		{"Durable", func() batchWriter {
+			return openDurable(t, dir, alex.WithFsyncPolicy(alex.FsyncInterval), alex.WithCheckpointEvery(0), alex.WithDurableShards(4))
+		}},
+	}
+	for _, st := range stores {
+		t.Run(st.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			s := st.open()
+			want := map[float64]uint64{}
+			check := func(step string) {
+				t.Helper()
+				if s.Len() != len(want) {
+					t.Fatalf("%s: Len = %d, want %d", step, s.Len(), len(want))
+				}
+				for k, v := range want {
+					if got, ok := s.Get(k); !ok || got != v {
+						t.Fatalf("%s: Get(%v) = %d,%v; want %d,true", step, k, got, ok, v)
+					}
+				}
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+			}
+			// scribble overwrites a batch the store was handed with keys
+			// and payloads no call ever wrote.
+			scribble := func(keys []float64, vals []uint64) {
+				for i := range keys {
+					keys[i] = 1e12 + float64(i)
+				}
+				for i := range vals {
+					vals[i] = ^uint64(0)
+				}
+			}
+			batch := func(n int, sorted bool) ([]float64, []uint64) {
+				keys := make([]float64, n)
+				vals := make([]uint64, n)
+				for i := range keys {
+					keys[i] = float64(rng.Intn(1 << 20))
+					vals[i] = rng.Uint64() >> 1
+				}
+				if sorted {
+					sort.Float64s(keys)
+				}
+				return keys, vals
+			}
+			upsert := func(keys []float64, vals []uint64) {
+				for i, k := range keys {
+					want[k] = vals[i]
+				}
+			}
+			for round, sorted := range []bool{true, false} {
+				keys, vals := batch(3000, sorted)
+				upsert(keys, vals)
+				s.Merge(keys, vals)
+				scribble(keys, vals)
+				check(fmt.Sprintf("Merge %d", round))
+
+				keys, vals = batch(3000, sorted)
+				upsert(keys, vals)
+				s.InsertBatch(keys, vals)
+				scribble(keys, vals)
+				check(fmt.Sprintf("InsertBatch %d", round))
+
+				del := make([]float64, 0, 1000)
+				for k := range want {
+					if len(del) == cap(del) {
+						break
+					}
+					del = append(del, k)
+					delete(want, k)
+				}
+				if sorted {
+					sort.Float64s(del)
+				}
+				s.DeleteBatch(del)
+				scribble(del, nil)
+				check(fmt.Sprintf("DeleteBatch %d", round))
+			}
+			// Point inserts that expand and split leaves must not
+			// resurrect anything from the overwritten batches either.
+			for i := 0; i < 5000; i++ {
+				k := float64(rng.Intn(1<<20)) + 0.5
+				s.Insert(k, uint64(i))
+				want[k] = uint64(i)
+			}
+			check("point inserts")
+			if d, ok := s.(*alex.DurableIndex); ok {
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				s = st.open()
+				check("recovered")
+				s.(*alex.DurableIndex).Close()
+			}
+		})
 	}
 }

@@ -187,9 +187,23 @@ func BenchmarkGetLognormal(b *testing.B)  { benchGet(b, datasets.Lognormal) }
 func BenchmarkGetYCSB(b *testing.B)       { benchGet(b, datasets.YCSB) }
 
 func benchInsert(b *testing.B, name datasets.Name) {
+	benchInsertInto(b, name, func(keys []float64) (pointInserter, error) {
+		return alex.Load(keys, nil, alex.WithSplitOnInsert())
+	})
+}
+
+// pointInserter is the single-key insert every index layer offers.
+type pointInserter interface {
+	Insert(key float64, payload uint64) bool
+}
+
+// benchInsertInto times single-key inserts into the index open builds
+// over the first 2^15 keys of a dataset draw: fresh keys until the
+// stream wraps, payload overwrites after that.
+func benchInsertInto(b *testing.B, name datasets.Name, open func(keys []float64) (pointInserter, error)) {
 	// Generate enough keys for the largest plausible b.N in one draw.
 	keys := datasets.Generate(name, 1<<17, 8)
-	idx, err := alex.Load(keys[:1<<15], nil, alex.WithSplitOnInsert())
+	idx, err := open(keys[:1<<15])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -202,6 +216,42 @@ func benchInsert(b *testing.B, name datasets.Name) {
 
 func BenchmarkInsertLongitudes(b *testing.B) { benchInsert(b, datasets.Longitudes) }
 func BenchmarkInsertYCSB(b *testing.B)       { benchInsert(b, datasets.YCSB) }
+
+// The same insert stream through each concurrency layer, so the cost a
+// layer adds to a point write reads off against BenchmarkInsertLongitudes.
+
+func BenchmarkInsertLongitudesSync(b *testing.B) {
+	benchInsertInto(b, datasets.Longitudes, func(keys []float64) (pointInserter, error) {
+		return alex.LoadSync(keys, nil, alex.WithSplitOnInsert())
+	})
+}
+
+func BenchmarkInsertLongitudesSharded(b *testing.B) {
+	benchInsertInto(b, datasets.Longitudes, func(keys []float64) (pointInserter, error) {
+		return alex.LoadSharded(8, keys, nil, alex.WithSplitOnInsert())
+	})
+}
+
+// BenchmarkInsertLongitudesDurable adds the WAL under FsyncInterval:
+// each insert is logged into the user-space buffer, and fsyncs run on
+// the interval timer.
+func BenchmarkInsertLongitudesDurable(b *testing.B) {
+	benchInsertInto(b, datasets.Longitudes, func(keys []float64) (pointInserter, error) {
+		d, err := alex.OpenDurable(b.TempDir(), alex.WithFsyncPolicy(alex.FsyncInterval),
+			alex.WithCheckpointEvery(0), alex.WithDurableShards(8),
+			alex.WithIndexOptions(alex.WithSplitOnInsert()))
+		if err != nil {
+			return nil, err
+		}
+		b.Cleanup(func() {
+			if err := d.Close(); err != nil {
+				b.Error(err)
+			}
+		})
+		d.Merge(keys, nil)
+		return d, nil
+	})
+}
 
 func BenchmarkScan100(b *testing.B) {
 	keys := datasets.GenYCSB(1<<17, 9)

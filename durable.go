@@ -94,8 +94,9 @@ type DurableIndex struct {
 }
 
 // Backend is the thread-safe index surface DurableIndex wraps; both
-// *SyncIndex and *ShardedIndex implement it. All mutations flow through
-// Apply — the unified path WAL replay reuses.
+// *SyncIndex and *ShardedIndex implement it. Batch mutations and WAL
+// replay flow through Apply; point writes call Insert, Delete and
+// Update, which are Apply's single-key arms without an Op.
 type Backend interface {
 	Get(key float64) (uint64, bool)
 	Contains(key float64) bool
@@ -113,6 +114,8 @@ type Backend interface {
 	DataSizeBytes() int
 	WriteTo(w io.Writer) (int64, error)
 	Apply(op Op) int
+	Insert(key float64, payload uint64) bool
+	Delete(key float64) bool
 	Update(key float64, payload uint64) bool
 	CheckInvariants() error
 }
@@ -405,21 +408,57 @@ func (d *DurableIndex) Degraded() error {
 func (d *DurableIndex) applyErr(rec *wal.Record, op Op) (int, error) {
 	d.opGate.RLock()
 	defer d.opGate.RUnlock()
-	if d.closed {
-		panic("alex: DurableIndex used after Close")
-	}
-	if err := d.Degraded(); err != nil {
+	if err := d.logLocked(rec); err != nil {
 		return 0, err
-	}
-	if err := d.log.Append(rec); err != nil {
-		if errors.Is(err, wal.ErrClosed) {
-			return 0, ErrClosed
-		}
-		return 0, d.degrade(err)
 	}
 	n := d.backend.Apply(op)
 	d.noteRecords(1)
 	return n, nil
+}
+
+// applyPoint is applyErr for a single-key record (OpInsert, OpDelete or
+// OpUpdate): after logging it calls the backend's point method for the
+// record's op with the key and payload as scalars, so neither the
+// record's one-element slices nor an Op escape and a point write
+// allocates nothing here.
+func (d *DurableIndex) applyPoint(rec *wal.Record) (bool, error) {
+	d.opGate.RLock()
+	defer d.opGate.RUnlock()
+	if err := d.logLocked(rec); err != nil {
+		return false, err
+	}
+	var changed bool
+	switch rec.Op {
+	case wal.OpInsert:
+		changed = d.backend.Insert(rec.Keys[0], rec.Payloads[0])
+	case wal.OpDelete:
+		changed = d.backend.Delete(rec.Keys[0])
+	case wal.OpUpdate:
+		changed = d.backend.Update(rec.Keys[0], rec.Payloads[0])
+	default:
+		panic("alex: applyPoint on a multi-key record")
+	}
+	d.noteRecords(1)
+	return changed, nil
+}
+
+// logLocked appends rec to the WAL, the first half of every mutation;
+// the caller holds opGate shared. It refuses a closed (panic) or
+// degraded index, and a failed append degrades the index.
+func (d *DurableIndex) logLocked(rec *wal.Record) error {
+	if d.closed {
+		panic("alex: DurableIndex used after Close")
+	}
+	if err := d.Degraded(); err != nil {
+		return err
+	}
+	if err := d.log.Append(rec); err != nil {
+		if errors.Is(err, wal.ErrClosed) {
+			return ErrClosed
+		}
+		return d.degrade(err)
+	}
+	return nil
 }
 
 // apply is applyErr for the bool-returning mutator surface: errors
@@ -473,9 +512,7 @@ func (d *DurableIndex) Insert(key float64, payload uint64) bool {
 // TryInsert is Insert with degradation as an error instead of a panic.
 func (d *DurableIndex) TryInsert(key float64, payload uint64) (bool, error) {
 	k, p := [1]float64{key}, [1]uint64{payload}
-	rec := wal.Record{Op: wal.OpInsert, Keys: k[:], Payloads: p[:]}
-	n, err := d.applyErr(&rec, Op{Kind: OpInsert, Keys: k[:], Payloads: p[:]})
-	return n > 0, err
+	return d.applyPoint(&wal.Record{Op: wal.OpInsert, Keys: k[:], Payloads: p[:]})
 }
 
 // Delete removes key; see Index.Delete. Panics when degraded; use
@@ -491,9 +528,7 @@ func (d *DurableIndex) Delete(key float64) bool {
 // TryDelete is Delete with degradation as an error instead of a panic.
 func (d *DurableIndex) TryDelete(key float64) (bool, error) {
 	k := [1]float64{key}
-	rec := wal.Record{Op: wal.OpDelete, Keys: k[:]}
-	n, err := d.applyErr(&rec, Op{Kind: OpDelete, Keys: k[:]})
-	return n > 0, err
+	return d.applyPoint(&wal.Record{Op: wal.OpDelete, Keys: k[:]})
 }
 
 // Update overwrites the payload of an existing key. Like every
@@ -512,25 +547,8 @@ func (d *DurableIndex) Update(key float64, payload uint64) bool {
 
 // TryUpdate is Update with degradation as an error instead of a panic.
 func (d *DurableIndex) TryUpdate(key float64, payload uint64) (bool, error) {
-	d.opGate.RLock()
-	defer d.opGate.RUnlock()
-	if d.closed {
-		panic("alex: DurableIndex used after Close")
-	}
-	if err := d.Degraded(); err != nil {
-		return false, err
-	}
 	k, p := [1]float64{key}, [1]uint64{payload}
-	rec := wal.Record{Op: wal.OpUpdate, Keys: k[:], Payloads: p[:]}
-	if err := d.log.Append(&rec); err != nil {
-		if errors.Is(err, wal.ErrClosed) {
-			return false, ErrClosed
-		}
-		return false, d.degrade(err)
-	}
-	ok := d.backend.Update(key, payload)
-	d.noteRecords(1)
-	return ok, nil
+	return d.applyPoint(&wal.Record{Op: wal.OpUpdate, Keys: k[:], Payloads: p[:]})
 }
 
 // InsertBatch adds many key/payload pairs, returning how many were new;

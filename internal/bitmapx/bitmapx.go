@@ -34,6 +34,12 @@ func (b *Bitmap) Clone() *Bitmap {
 // Len returns the capacity in bits.
 func (b *Bitmap) Len() int { return b.n }
 
+// Words returns the backing words: bit i is bit i&63 of word i>>6, and
+// bits past Len are clear. A caller visiting every set bit walks them
+// with bits.TrailingZeros64 at a fraction of a NextSet call per bit.
+// The slice is the bitmap's own storage; callers must not modify it.
+func (b *Bitmap) Words() []uint64 { return b.words }
+
 // Count returns the number of set bits.
 func (b *Bitmap) Count() int { return b.count }
 

@@ -200,7 +200,7 @@ func (t *Tree) insertSorted(keys []float64, payloads []uint64) int {
 		n += added
 		// One cost-model decision per node per batch, like the
 		// expand/retrain/split decisions the batch API amortizes.
-		t.costCheck(g.leaf, g.parent)
+		t.costCheck(g.leaf, g.parent, g.leaf.data())
 		t.restoreLeafBound(ks)
 	}
 	return n

@@ -748,38 +748,42 @@ func (t *Tree) Contains(key float64) bool {
 // Insert adds key with payload. It reports whether a new element was
 // added; inserting an existing key overwrites its payload and returns
 // false. Non-finite keys are rejected with a panic, mirroring the data
-// nodes.
+// nodes. The leaf's array is loaded once and carried through the split
+// check, the insert and the cost check; only a restructure loads it
+// again.
 func (t *Tree) Insert(key float64, payload uint64) bool {
 	leaf, parent := t.traverse(key)
-	if t.cfg.RMI == AdaptiveRMI && t.cfg.SplitOnInsert && leaf.data().Num() >= t.cfg.MaxKeysPerLeaf {
+	d := leaf.data()
+	if t.cfg.RMI == AdaptiveRMI && t.cfg.SplitOnInsert && d.Num() >= t.cfg.MaxKeysPerLeaf {
 		if t.splitLeaf(leaf, parent) {
 			leaf, parent = t.traverse(key)
+			d = leaf.data()
 		}
 	}
-	if t.leafInsert(leaf, key, payload) {
+	d, added := t.leafInsert(leaf, d, key, payload)
+	if added {
 		t.count++
-		t.costCheck(leaf, parent)
-		return true
+		t.costCheck(leaf, parent, d)
 	}
-	return false
+	return added
 }
 
 // costCheck applies the §4 cost-model feedback after inserts touched a
-// leaf: when the leaf's prediction-error bound reports that searches
-// have drifted well past the bounded-search budget (see
-// leafbase.RetrainAdvised, which also amortizes the O(n) correction
-// over the inserts since the last rebuild), the leaf is corrected —
-// split when splitting is enabled and the leaf is large enough that
-// partitioning it gives each child its own, better-fitting model,
-// retrained in place otherwise. This is what makes chronically
+// leaf whose current array is d: when the leaf's prediction-error bound
+// reports that searches have drifted well past the bounded-search
+// budget (see leafbase.RetrainAdvised, which also amortizes the O(n)
+// correction over the inserts since the last rebuild), the leaf is
+// corrected — split when splitting is enabled and the leaf is large
+// enough that partitioning it gives each child its own, better-fitting
+// model, retrained in place otherwise. This is what makes chronically
 // mispredicting leaves retrain or split *sooner* than the density and
 // size bounds alone would: the expansion/split decision consumes the
 // measured error, not just occupancy.
-func (t *Tree) costCheck(leaf, parent *node) {
-	if !leaf.data().RetrainAdvised() {
+func (t *Tree) costCheck(leaf, parent *node, d DataNode) {
+	if !d.RetrainAdvised() {
 		return
 	}
-	if t.cfg.RMI == AdaptiveRMI && t.cfg.SplitOnInsert && leaf.data().Num() >= t.cfg.MaxKeysPerLeaf/2 {
+	if t.cfg.RMI == AdaptiveRMI && t.cfg.SplitOnInsert && d.Num() >= t.cfg.MaxKeysPerLeaf/2 {
 		if t.splitLeaf(leaf, parent) {
 			t.costRetrains++
 			return

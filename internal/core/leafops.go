@@ -22,11 +22,11 @@ import (
 // reader can fault, and pinned snapshots keep their sealed arrays
 // byte-stable forever.
 
-// writableGA returns the leaf's gapped array ready for mutation,
-// cloning and republishing it first when a snapshot sealed it. Returns
-// nil when the leaf is PMA-backed.
-func (t *Tree) writableGA(n *node) *gapped.Array {
-	g := n.ga.Load()
+// writableGA returns g, the leaf's gapped array as loaded from n.ga,
+// ready for mutation: when a snapshot sealed it, it is cloned and the
+// clone republished first. Returns nil when g is nil (the leaf is
+// PMA-backed).
+func (t *Tree) writableGA(n *node, g *gapped.Array) *gapped.Array {
 	if g == nil || !g.Sealed() {
 		return g
 	}
@@ -37,8 +37,7 @@ func (t *Tree) writableGA(n *node) *gapped.Array {
 }
 
 // writablePA is writableGA for the PMA layout.
-func (t *Tree) writablePA(n *node) *pma.Array {
-	p := n.pa.Load()
+func (t *Tree) writablePA(n *node, p *pma.Array) *pma.Array {
 	if p == nil || !p.Sealed() {
 		return p
 	}
@@ -48,26 +47,32 @@ func (t *Tree) writablePA(n *node) *pma.Array {
 	return c
 }
 
-func (t *Tree) leafInsert(n *node, key float64, payload uint64) bool {
-	if g := t.writableGA(n); g != nil {
-		repl, ok := g.InsertCOW(key, payload)
-		if repl != nil {
-			n.ga.Store(repl)
-			t.retireObj(g)
+// leafInsert inserts into leaf n, whose current array the caller
+// loaded as d, and returns the array that is current afterwards (a
+// clone or an expanded rebuild, when the insert published one).
+func (t *Tree) leafInsert(n *node, d DataNode, key float64, payload uint64) (DataNode, bool) {
+	if g, ok := d.(*gapped.Array); ok {
+		g = t.writableGA(n, g)
+		repl, added := g.InsertCOW(key, payload)
+		if repl == nil {
+			return g, added
 		}
-		return ok
+		n.ga.Store(repl)
+		t.retireObj(g)
+		return repl, added
 	}
-	p := t.writablePA(n)
-	repl, ok := p.InsertCOW(key, payload)
-	if repl != nil {
-		n.pa.Store(repl)
-		t.retireObj(p)
+	p := t.writablePA(n, d.(*pma.Array))
+	repl, added := p.InsertCOW(key, payload)
+	if repl == nil {
+		return p, added
 	}
-	return ok
+	n.pa.Store(repl)
+	t.retireObj(p)
+	return repl, added
 }
 
 func (t *Tree) leafDelete(n *node, key float64) bool {
-	if g := t.writableGA(n); g != nil {
+	if g := t.writableGA(n, n.ga.Load()); g != nil {
 		repl, ok := g.DeleteCOW(key)
 		if repl != nil {
 			n.ga.Store(repl)
@@ -75,7 +80,7 @@ func (t *Tree) leafDelete(n *node, key float64) bool {
 		}
 		return ok
 	}
-	p := t.writablePA(n)
+	p := t.writablePA(n, n.pa.Load())
 	repl, ok := p.DeleteCOW(key)
 	if repl != nil {
 		n.pa.Store(repl)
@@ -88,10 +93,10 @@ func (t *Tree) leafDelete(n *node, key float64) bool {
 // value-only, but a sealed array must still be cloned first — snapshot
 // readers own its exact contents.
 func (t *Tree) leafUpdate(n *node, key float64, payload uint64) bool {
-	if g := t.writableGA(n); g != nil {
+	if g := t.writableGA(n, n.ga.Load()); g != nil {
 		return g.Update(key, payload)
 	}
-	return t.writablePA(n).Update(key, payload)
+	return t.writablePA(n, n.pa.Load()).Update(key, payload)
 }
 
 func (t *Tree) leafRetrain(n *node) {
@@ -108,7 +113,7 @@ func (t *Tree) leafRetrain(n *node) {
 }
 
 func (t *Tree) leafInsertSortedBatch(n *node, keys []float64, payloads []uint64) int {
-	if g := t.writableGA(n); g != nil {
+	if g := t.writableGA(n, n.ga.Load()); g != nil {
 		repl, added := g.InsertSortedBatchCOW(keys, payloads)
 		if repl != nil {
 			n.ga.Store(repl)
@@ -116,7 +121,7 @@ func (t *Tree) leafInsertSortedBatch(n *node, keys []float64, payloads []uint64)
 		}
 		return added
 	}
-	p := t.writablePA(n)
+	p := t.writablePA(n, n.pa.Load())
 	repl, added := p.InsertSortedBatchCOW(keys, payloads)
 	if repl != nil {
 		n.pa.Store(repl)
@@ -126,7 +131,7 @@ func (t *Tree) leafInsertSortedBatch(n *node, keys []float64, payloads []uint64)
 }
 
 func (t *Tree) leafDeleteSortedBatch(n *node, keys []float64) int {
-	if g := t.writableGA(n); g != nil {
+	if g := t.writableGA(n, n.ga.Load()); g != nil {
 		repl, deleted := g.DeleteSortedBatchCOW(keys)
 		if repl != nil {
 			n.ga.Store(repl)
@@ -134,7 +139,7 @@ func (t *Tree) leafDeleteSortedBatch(n *node, keys []float64) int {
 		}
 		return deleted
 	}
-	p := t.writablePA(n)
+	p := t.writablePA(n, n.pa.Load())
 	repl, deleted := p.DeleteSortedBatchCOW(keys)
 	if repl != nil {
 		n.pa.Store(repl)

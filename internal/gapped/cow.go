@@ -33,14 +33,15 @@ func (a *Array) CloneForWrite() *Array {
 
 // rebuiltCopy builds a fresh array holding the receiver's current
 // elements at the given capacity, with a retrained model — the COW
-// counterpart of RebuildModelBased. Work counters carry over so the
-// republication is invisible in the stats; the rebuild itself counts a
-// retrain, exactly as the in-place path would.
+// counterpart of RebuildModelBased. It reads the receiver's occupied
+// slots directly (leafbase.BuildFrom), so an expansion allocates only
+// the new node. Work counters carry over so the republication is
+// invisible in the stats; the rebuild itself counts a retrain, exactly
+// as the in-place path would.
 func (a *Array) rebuiltCopy(capacity int) *Array {
 	r := &Array{cfg: a.cfg}
 	r.Stats = a.Stats
-	keys, payloads := a.Collect(nil, nil)
-	r.Base.BuildFromSorted(keys, payloads, capacity)
+	r.Base.BuildFrom(&a.Base, capacity)
 	return r
 }
 

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/bitmapx"
 	"repro/internal/linmodel"
@@ -505,43 +506,54 @@ const (
 //
 // NeedRoom is returned when the node is full or the shift window contains
 // no gap.
+//
+// The prediction and the first occupied slot at or after the lower
+// bound are each computed once and serve the duplicate check, the gap
+// claim and the shift alike.
 func (b *Base) PlaceModelBased(key float64, payload uint64, maxShiftLo, maxShiftHi int) InsertResult {
 	cap := len(b.Keys)
-	lo := b.LowerBoundSlot(key)
-	if lo < cap && b.Keys[lo] == key {
-		if occ := b.Occ.NextSet(lo); occ >= 0 && b.Keys[occ] == key {
-			b.Payloads[occ] = payload
-			return Duplicate
-		}
+	// pred is the model's slot; in the cold-start regime the lower
+	// bound itself stands in for it, as predictSlot does.
+	var lo, pred int
+	if b.HasModel {
+		pred = b.predictFast(key)
+		lo = search.ExponentialBranchless(b.Keys, key, pred)
+	} else {
+		lo = search.LowerBoundBranchless(b.Keys, key)
+		pred = lo
+	}
+	// firstOcc is the first occupied slot at or after lo. Keys are
+	// non-decreasing and gap fills duplicate the key to their right, so
+	// key is stored exactly when firstOcc holds it.
+	firstOcc := -1
+	if lo < cap {
+		firstOcc = b.Occ.NextSet(lo)
+	}
+	if firstOcc >= 0 && b.Keys[firstOcc] == key {
+		b.Payloads[firstOcc] = payload
+		return Duplicate
 	}
 	if b.NumKeys >= cap {
 		return NeedRoom
 	}
-	if lo >= cap {
-		// Key is greater than every value including trailing fills;
-		// can only happen when there are no trailing gaps (last slot
-		// occupied). Fall through to gap-making at the last slot.
-		lo = cap // handled below by the shift path with hiGap == -1
-	}
 
-	// The valid placement range is [lo, firstOcc-1] where firstOcc is the
-	// first occupied slot at or after lo (its key is > key).
-	var hi int
-	if lo < cap {
-		if firstOcc := b.Occ.NextSet(lo); firstOcc < 0 {
-			hi = cap - 1
-		} else {
-			hi = firstOcc - 1
-		}
-	} else {
+	// The valid placement range is [lo, firstOcc-1] (its key is > key).
+	// A lower bound past the end — key greater than every value
+	// including trailing fills, so the last slot is occupied — leaves
+	// the range empty and goes to gap-making at the last slot.
+	hi := cap - 1
+	switch {
+	case lo >= cap:
+		lo = cap
 		hi = lo - 1
+	case firstOcc >= 0:
+		hi = firstOcc - 1
 	}
 
 	if lo <= hi {
 		// There is at least one gap in range; claim the one nearest the
 		// model's prediction so later lookups hit directly (§3.2,
 		// "model-based insertion").
-		pred := b.predictSlot(key)
 		q := pred
 		if q < lo {
 			q = lo
@@ -566,12 +578,13 @@ func (b *Base) PlaceModelBased(key float64, payload uint64, maxShiftLo, maxShift
 
 	// lo is occupied (or past the end): make a gap by shifting toward the
 	// closest gap within the caller's window.
-	return b.insertWithShift(key, payload, lo, maxShiftLo, maxShiftHi)
+	return b.insertWithShift(key, payload, lo, pred, maxShiftLo, maxShiftHi)
 }
 
 // insertWithShift creates a gap at the lower-bound position lo by shifting
 // elements toward the nearest gap found within [maxShiftLo, maxShiftHi).
-func (b *Base) insertWithShift(key float64, payload uint64, lo, maxShiftLo, maxShiftHi int) InsertResult {
+// pred is key's predicted slot (meaningful only while HasModel).
+func (b *Base) insertWithShift(key float64, payload uint64, lo, pred, maxShiftLo, maxShiftHi int) InsertResult {
 	cap := len(b.Keys)
 	if maxShiftLo < 0 {
 		maxShiftLo = 0
@@ -624,17 +637,19 @@ func (b *Base) insertWithShift(key float64, payload uint64, lo, maxShiftLo, maxS
 		// bounded search within a few thousand inserts of a rebuild.
 		// Elements outside the run did not move, so the old bound still
 		// covers them.
-		b.noteInsertErr(at, b.predictFast(key))
+		b.noteInsertErr(at, pred)
 		b.noteRunErr(runLo, runHi)
 	}
 	return Inserted
 }
 
-// noteRunErr folds the exact prediction errors of the occupied slots in
-// [lo, hi] into the bound; callers pass the slot range a shift just
-// re-placed.
+// noteRunErr folds the exact prediction errors of the slots in [lo, hi]
+// into the bound; callers pass the slot range a shift just re-placed.
+// Every slot in it is occupied: the shift's gap was the nearest clear
+// slot (NextClear/PrevClear), so the run between it and the insert
+// position held elements only, and the shift filled the gap.
 func (b *Base) noteRunErr(lo, hi int) {
-	for i := b.Occ.NextSet(lo); i >= 0 && i <= hi; i = b.Occ.NextSet(i + 1) {
+	for i := lo; i <= hi; i++ {
 		b.noteInsertErr(i, b.predictFast(b.Keys[i]))
 	}
 }
@@ -676,8 +691,10 @@ func (b *Base) Delete(key float64) bool {
 // slot on collision. Nodes below the cold-start threshold are spread
 // uniformly instead and keep no model.
 func (b *Base) RebuildModelBased(newCapacity int) {
-	keys, payloads := b.Collect(nil, nil)
-	b.BuildFromSorted(keys, payloads, newCapacity)
+	// Init allocates fresh arrays, so the old ones stay intact as the
+	// source of the rebuild.
+	old := Base{Keys: b.Keys, Payloads: b.Payloads, Occ: b.Occ, NumKeys: b.NumKeys}
+	b.BuildFrom(&old, newCapacity)
 }
 
 // BuildFromSorted initializes the node from sorted unique keys with the
@@ -736,6 +753,99 @@ func (b *Base) BuildFromSorted(keys []float64, payloads []uint64, capacity int) 
 	}
 	b.repairAllFills()
 	b.rebuildErr = b.ErrBound
+}
+
+// BuildFrom is BuildFromSorted over src's elements, read straight from
+// src's occupied slots: an expansion or retrain rebuilds a node without
+// first collecting its elements into temporary arrays. src must not be
+// b; it is only read. The result — slots, model bits, ErrBound — is
+// exactly BuildFromSorted's on src.Collect(): the two loops are kept
+// apart so the bulk-load loop keeps its dense indexing, and
+// TestBuildFromMatchesCollect holds them together.
+func (b *Base) BuildFrom(src *Base, capacity int) {
+	n := src.NumKeys
+	if capacity < n {
+		capacity = n
+	}
+	if capacity < 1 {
+		capacity = 1
+	}
+	b.Init(capacity)
+	if n == 0 {
+		return
+	}
+	b.NumKeys = n
+	b.Stats.Retrains++
+
+	if n >= MinModelKeys {
+		b.Model = trainOccupied(src.Keys, src.Occ, n).Scale(float64(capacity) / float64(n))
+		b.HasModel = true
+	}
+
+	last, i := -1, 0
+	for w, word := range src.Occ.Words() {
+		for ; word != 0; word &= word - 1 {
+			j := w<<6 + bits.TrailingZeros64(word)
+			var pos, pred int
+			if b.HasModel {
+				pos = b.Model.PredictClamped(src.Keys[j], capacity)
+				pred = pos
+			} else {
+				pos = i * capacity / n
+			}
+			if pos <= last {
+				pos = last + 1
+			}
+			if maxPos := capacity - (n - i); pos > maxPos {
+				pos = maxPos
+			}
+			b.Keys[pos] = src.Keys[j]
+			b.Payloads[pos] = src.Payloads[j]
+			b.Occ.Set(pos)
+			if b.HasModel {
+				b.noteInsertErr(pos, pred)
+			}
+			last = pos
+			i++
+		}
+	}
+	b.repairAllFills()
+	b.rebuildErr = b.ErrBound
+}
+
+// trainOccupied is linmodel.Train over the n keys in the occupied slots
+// of occ, in slot order. It runs TrainRange's two passes and sums in
+// the same order, so the model is bit-identical to Train on the keys
+// Collect returns; TestBuildFromMatchesCollect holds the two together.
+// n is at least 2.
+func trainOccupied(keys []float64, occ *bitmapx.Bitmap, n int) linmodel.Model {
+	var meanX, meanY float64
+	r := 0
+	for w, word := range occ.Words() {
+		for ; word != 0; word &= word - 1 {
+			meanX += keys[w<<6+bits.TrailingZeros64(word)]
+			meanY += float64(r)
+			r++
+		}
+	}
+	fn := float64(n)
+	meanX /= fn
+	meanY /= fn
+	var cov, varX float64
+	r = 0
+	for w, word := range occ.Words() {
+		for ; word != 0; word &= word - 1 {
+			dx := keys[w<<6+bits.TrailingZeros64(word)] - meanX
+			cov += dx * (float64(r) - meanY)
+			varX += dx * dx
+			r++
+		}
+	}
+	if varX == 0 {
+		return linmodel.Model{Slope: 0, Intercept: meanY}
+	}
+	slope := cov / varX
+	return linmodel.Model{Slope: slope, Intercept: meanY - slope*meanX}
 }
 
 // RedistributeUniform places the node's elements uniformly spaced across

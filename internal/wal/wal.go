@@ -102,20 +102,37 @@ func payloadSize(r *Record) (int, error) {
 	return 0, fmt.Errorf("wal: unknown op %d", r.Op)
 }
 
-// AppendRecord appends the framed encoding of r to dst and returns the
-// extended slice. It errors on oversized batches and ops the insert
-// flavors require payloads for.
-func AppendRecord(dst []byte, r *Record) ([]byte, error) {
+// frameSize validates r and returns the length of its framed encoding
+// (length prefix, CRC and payload). It errors on oversized batches and
+// ops the insert flavors require payloads for.
+func frameSize(r *Record) (int, error) {
 	n, err := payloadSize(r)
 	if err != nil {
-		return dst, err
+		return 0, err
 	}
 	switch r.Op {
 	case OpInsert, OpUpdate, OpInsertBatch, OpMerge:
 		if len(r.Payloads) != len(r.Keys) {
-			return dst, fmt.Errorf("wal: op %d has %d payloads for %d keys", r.Op, len(r.Payloads), len(r.Keys))
+			return 0, fmt.Errorf("wal: op %d has %d payloads for %d keys", r.Op, len(r.Payloads), len(r.Keys))
 		}
 	}
+	return 8 + n, nil
+}
+
+// AppendRecord appends the framed encoding of r to dst and returns the
+// extended slice. It errors on oversized batches and ops the insert
+// flavors require payloads for.
+func AppendRecord(dst []byte, r *Record) ([]byte, error) {
+	size, err := frameSize(r)
+	if err != nil {
+		return dst, err
+	}
+	return appendFrame(dst, r, size-8), nil
+}
+
+// appendFrame is AppendRecord for a record frameSize accepted; n is
+// its payload length.
+func appendFrame(dst []byte, r *Record, n int) []byte {
 	start := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 	dst = binary.LittleEndian.AppendUint32(dst, 0) // CRC placeholder
@@ -145,7 +162,7 @@ func AppendRecord(dst []byte, r *Record) ([]byte, error) {
 	}
 	crc := crc32.Checksum(dst[body:], castagnoli)
 	binary.LittleEndian.PutUint32(dst[start+4:], crc)
-	return dst, nil
+	return dst
 }
 
 // decodeRecord parses one payload (already CRC-verified) into a Record.

@@ -202,6 +202,89 @@ func TestWALWriterReadBack(t *testing.T) {
 	}
 }
 
+// TestWALWriterBytesMatchCodec: whether Append encodes a record in
+// place in the write buffer (small records, flushing first when the
+// buffer is too full) or into its own slice (records larger than the
+// buffer), the segment holds exactly the AppendRecord encodings in
+// append order. The stream crosses the buffer boundary many times and
+// mixes batches just under and just over the buffer size; a record
+// that fails validation is refused without poisoning the writer.
+func TestWALWriterBytesMatchCodec(t *testing.T) {
+	batch := func(op Op, n int) *Record {
+		r := &Record{Op: op, Keys: make([]float64, n)}
+		for i := range r.Keys {
+			r.Keys[i] = float64(i) * 0.5
+		}
+		if op != OpDeleteBatch {
+			r.Payloads = make([]uint64, n)
+			for i := range r.Payloads {
+				r.Payloads[i] = uint64(i) * 3
+			}
+		}
+		return r
+	}
+	// Frame sizes: 13+16n for insert batches, 13+8n for delete batches.
+	fits := (bufSize - 13) / 16
+	var recs []*Record
+	for i := 0; i < 12000; i++ {
+		k, p := float64(i)*1.25, uint64(i)
+		switch i % 4 {
+		case 0:
+			recs = append(recs, &Record{Op: OpInsert, Keys: []float64{k}, Payloads: []uint64{p}})
+		case 1:
+			recs = append(recs, &Record{Op: OpDelete, Keys: []float64{k}})
+		case 2:
+			recs = append(recs, &Record{Op: OpUpdate, Keys: []float64{k}, Payloads: []uint64{p}})
+		default:
+			recs = append(recs, &Record{Op: OpCheckpoint, Seq: p})
+		}
+		switch i {
+		case 1000:
+			recs = append(recs, batch(OpInsertBatch, fits)) // largest in-place frame
+		case 3000:
+			recs = append(recs, batch(OpMerge, fits+1)) // smallest oversized frame
+		case 5000:
+			recs = append(recs, batch(OpDeleteBatch, (bufSize-13)/8+1))
+		case 7000:
+			recs = append(recs, batch(OpInsertBatch, 3*fits))
+		}
+	}
+	want := encodeStream(t, recs)
+	bad := &Record{Op: OpInsert, Keys: []float64{1}}
+	for _, policy := range []Policy{SyncAlways, SyncInterval, SyncNever} {
+		path := filepath.Join(t.TempDir(), "seg.log")
+		w, err := NewWriter(path, policy, time.Millisecond, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range recs {
+			if i == 2000 {
+				if err := w.Append(bad); err == nil {
+					t.Fatal("a record with no payload was accepted")
+				}
+			}
+			if err := w.Append(r); err != nil {
+				t.Fatalf("policy %d: append %d: %v", policy, i, err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("policy %d: segment (%d bytes) differs from the codec's stream (%d bytes) at byte %d",
+				policy, len(got), len(want), i)
+		}
+	}
+}
+
 // TestWALGroupCommit: 8 concurrent appenders under SyncAlways must
 // coalesce fsyncs — strictly fewer syncs than appends.
 func TestWALGroupCommit(t *testing.T) {

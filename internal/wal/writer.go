@@ -49,6 +49,10 @@ func (c *counters) snapshot() Stats {
 	return Stats{Appends: c.appends.Load(), Syncs: c.syncs.Load(), Bytes: c.bytes.Load()}
 }
 
+// bufSize is the Writer's user-space buffer: records up to this size
+// are encoded in place inside it.
+const bufSize = 1 << 16
+
 // Writer appends records to one segment file. It is safe for
 // concurrent use; under SyncAlways, concurrent Appends coalesce into
 // shared fsyncs (group commit).
@@ -110,7 +114,7 @@ func NewWriterFS(fsys faultfs.FS, path string, policy Policy, interval time.Dura
 		stats:    stats,
 		notify:   notify,
 		f:        f,
-		buf:      bufio.NewWriterSize(f, 1<<16),
+		buf:      bufio.NewWriterSize(f, bufSize),
 		written:  int64(len(Magic)),
 	}
 	w.visible.Store(int64(len(Magic)))
@@ -128,10 +132,21 @@ func NewWriterFS(fsys faultfs.FS, path string, policy Policy, interval time.Dura
 
 // Append encodes rec, writes it to the segment, and blocks per the sync
 // policy: until durable (SyncAlways) or just buffered (the others).
+//
+// A record that fits the write buffer is encoded straight into the
+// buffer's free space under the lock, flushing the buffer first when
+// the space left is too short, so a point write allocates nothing. A
+// larger record (a big batch) is encoded into its own slice before the
+// lock is taken and then written through the buffer. The bytes reaching
+// the file are the same either way.
 func (w *Writer) Append(rec *Record) error {
-	enc, err := AppendRecord(nil, rec)
+	size, err := frameSize(rec)
 	if err != nil {
 		return err
+	}
+	var enc []byte
+	if size > bufSize {
+		enc = appendFrame(make([]byte, 0, size), rec, size-8)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -140,6 +155,16 @@ func (w *Writer) Append(rec *Record) error {
 	}
 	if w.closed {
 		return ErrClosed
+	}
+	if enc == nil {
+		if w.buf.Available() < size {
+			if err := w.buf.Flush(); err != nil {
+				w.err = err
+				w.cond.Broadcast()
+				return err
+			}
+		}
+		enc = appendFrame(w.buf.AvailableBuffer(), rec, size-8)
 	}
 	if _, err := w.buf.Write(enc); err != nil {
 		w.err = err

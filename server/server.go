@@ -195,8 +195,9 @@ func (s *Server) Close() {
 // %.17g float + " " + a uint64 + "\n" is at most 50 bytes).
 const maxReplyLine = 64
 
-// maxKeptFields bounds the field slice a connection keeps between
-// commands, so one huge MSET does not pin its token table for the
+// maxKeptFields bounds the field slice and the MSET/MDEL batch
+// scratch a connection keeps between commands, so one huge MSET does
+// not pin its token table or its key/value arrays for the
 // connection's lifetime.
 const maxKeptFields = 4096
 
@@ -208,6 +209,11 @@ type session struct {
 	w      *bufio.Writer
 	fields [][]byte // the current line's fields, aliasing the scanner's buffer
 	cmd    [16]byte // the upper-cased command word
+
+	// keys and vals are MSET/MDEL's parsed batch, reused across
+	// commands like fields.
+	keys []float64
+	vals []uint64
 }
 
 // Handle speaks the protocol on one stream until EOF or QUIT. Exposed
@@ -228,6 +234,9 @@ func (s *Server) Handle(rw io.ReadWriter) {
 		}
 		if cap(c.fields) > maxKeptFields {
 			c.fields = nil
+		}
+		if cap(c.keys) > maxKeptFields || cap(c.vals) > maxKeptFields {
+			c.keys, c.vals = nil, nil
 		}
 		if err := c.w.Flush(); err != nil {
 			return
@@ -397,8 +406,9 @@ func (s *Server) dispatch(c *session) bool {
 			fmt.Fprintln(w, "ERR usage: MSET <key> <value> [<key> <value> ...]")
 			return false
 		}
-		keys := make([]float64, 0, len(args)/2)
-		vals := make([]uint64, 0, len(args)/2)
+		// The session's batch scratch is safe to reuse: no store
+		// retains the slices it is handed (TestBatchWritesRetainNothing).
+		keys, vals := c.keys[:0], c.vals[:0]
 		for i := 0; i < len(args); i += 2 {
 			key, err := parseKey(args[i])
 			if err != nil {
@@ -413,15 +423,17 @@ func (s *Server) dispatch(c *session) bool {
 			keys = append(keys, key)
 			vals = append(vals, val)
 		}
+		c.keys, c.vals = keys, vals
 		writeGuarded(w, func() {
 			writeUint(w, "OK ", uint64(s.idx.InsertBatch(keys, vals)))
 		})
 	case "MDEL":
-		keys, err := parseKeys(args, 1)
+		keys, err := parseKeys(args, 1, c.keys[:0])
 		if err != nil {
 			fmt.Fprintf(w, "ERR %v\n", err)
 			return false
 		}
+		c.keys = keys
 		writeGuarded(w, func() {
 			writeUint(w, "OK ", uint64(s.idx.DeleteBatch(keys)))
 		})
@@ -550,7 +562,7 @@ func (s *Server) dispatch(c *session) bool {
 func (s *Server) mget(w *bufio.Writer, args [][]byte) {
 	sc := scratchPool.Get().(*batchScratch)
 	defer scratchPool.Put(sc)
-	keys, err := parseKeysInto(args, 1, sc.keys[:0])
+	keys, err := parseKeys(args, 1, sc.keys[:0])
 	sc.keys = keys
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
@@ -764,17 +776,10 @@ func parseKey(arg []byte) (float64, error) {
 	return k, nil
 }
 
-// parseKeys parses at least min keys from args.
-func parseKeys(args [][]byte, min int) ([]float64, error) {
-	if len(args) < min {
-		return nil, errors.New("wrong argument count")
-	}
-	return parseKeysInto(args, min, make([]float64, 0, len(args)))
-}
-
-// parseKeysInto is parseKeys appending into a caller-supplied slice, so
-// pooled command buffers can be reused across requests.
-func parseKeysInto(args [][]byte, min int, keys []float64) ([]float64, error) {
+// parseKeys parses at least min keys from args, appending them to keys,
+// so per-connection and pooled command buffers are reused across
+// requests.
+func parseKeys(args [][]byte, min int, keys []float64) ([]float64, error) {
 	if len(args) < min {
 		return keys, errors.New("wrong argument count")
 	}

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	alex "repro"
 )
 
 // TestHandleZeroAlloc: on a warm connection the protocol layer parses
@@ -20,11 +22,15 @@ func TestHandleZeroAlloc(t *testing.T) {
 		st.keys = append(st.keys, float64(i))
 		st.vals = append(st.vals, uint64(i)*7)
 	}
-	var mget, mwant, scan strings.Builder
+	var mget, mwant, mset, mdel, scan strings.Builder
 	mget.WriteString("mGet")
+	mset.WriteString("MSET")
+	mdel.WriteString("mdel")
 	for i := 0; i < 64; i++ {
 		fmt.Fprintf(&mget, " %d", i*3)
 		fmt.Fprintf(&mwant, "VALUE %d\n", i*21)
+		fmt.Fprintf(&mset, " %d.5 %d", i*3, i)
+		fmt.Fprintf(&mdel, " %d", i*3)
 	}
 	for i := 0; i < 100; i++ {
 		fmt.Fprintf(&scan, "KEY %d %d\n", 500+i, (500+i)*7)
@@ -39,6 +45,8 @@ func TestHandleZeroAlloc(t *testing.T) {
 		{"DEL", "DEL 42\n", "OK\n"},
 		{"del miss", "del 42.5\n", "NOTFOUND\n"},
 		{"MGET 64", mget.String() + "\n", mwant.String() + "END\n"},
+		{"MSET 64", mset.String() + "\n", "OK 64\n"},
+		{"MDEL 64", mdel.String() + "\n", "OK 64\n"},
 		{"SCAN 100", "Scan 500 100\n", scan.String() + "END\n"},
 		{"scan 100", "scan 500 100\r\n", scan.String() + "END\n"},
 	} {
@@ -48,6 +56,46 @@ func TestHandleZeroAlloc(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(100, func() { c.do(req) }); allocs != 0 {
 			t.Errorf("%s: %v allocations per request, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestHandleSetZeroAllocSharded: SET against a real ShardedIndex — the
+// server's own store — allocates nothing per request, from the command
+// parser down to the gapped leaf, when the write overwrites a key or
+// takes back the gap a DEL just left.
+func TestHandleSetZeroAllocSharded(t *testing.T) {
+	keys := make([]float64, 20000)
+	for i := range keys {
+		keys[i] = float64(i) * 1.5
+	}
+	idx, err := alex.LoadSharded(4, keys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := serveSteps(t, idx)
+	for _, tc := range []struct {
+		name string
+		reqs []string
+		want []string
+	}{
+		{"SET update", []string{"SET 4500 7\n"}, []string{"OK updated\n"}},
+		{"DEL+SET", []string{"DEL 4500\n", "SET 4500 7\n"}, []string{"OK\n", "OK inserted\n"}},
+	} {
+		reqs := make([][]byte, len(tc.reqs))
+		for i, r := range tc.reqs {
+			reqs[i] = []byte(r)
+		}
+		round := func() {
+			for i, req := range reqs {
+				if got := c.do(req); string(got) != tc.want[i] {
+					t.Fatalf("%s: %q replied %q, want %q", tc.name, req, got, tc.want[i])
+				}
+			}
+		}
+		round()
+		if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+			t.Errorf("%s: %v allocations per round, want 0", tc.name, allocs)
 		}
 	}
 }

@@ -344,34 +344,31 @@ func (s *ShardedIndex) optimistic() bool { return optimisticReads && !s.lockOnly
 
 // Apply executes one mutation, routing it to the owning shard (point
 // ops) or fanning sub-batches out across shards in parallel (batch
-// ops). It is the single write path of the sharded index: the point and
-// batch write methods construct Ops over it, and DurableIndex replays
-// WAL records through it, so all three share the same routing, locking,
+// ops). It is the single write path of the sharded index: the batch
+// write methods construct Ops over it, its single-key arms are the
+// point helper Insert and Delete call, and DurableIndex replays WAL
+// records through it, so all of them share the same routing, locking,
 // and drift accounting.
 func (s *ShardedIndex) Apply(op Op) int {
+	if op.Kind == OpInsert && len(op.Payloads) != len(op.Keys) {
+		panic("alex: len(payloads) != len(keys)")
+	}
+	if key, payload, ok := op.point(); ok {
+		return affected(s.point(op.Kind, key, payload))
+	}
+	// The batch closures capture the payload slice, not op, so a point
+	// op never moves op to the heap.
 	switch op.Kind {
 	case OpInsert:
-		if len(op.Payloads) != len(op.Keys) {
-			panic("alex: len(payloads) != len(keys)")
-		}
-		if len(op.Keys) == 1 {
-			return s.applyPoint(op.Keys[0], func(ix *Index) bool {
-				return ix.Insert(op.Keys[0], op.Payloads[0])
-			})
-		}
+		payloads := op.Payloads
 		return s.applyBatch(op.Keys, func(sh *shard, ks []float64, at []int) int {
 			ps := make([]uint64, len(ks))
 			for j, p := range at {
-				ps[j] = op.Payloads[p]
+				ps[j] = payloads[p]
 			}
 			return sh.idx.InsertBatch(ks, ps)
 		}, true)
 	case OpDelete:
-		if len(op.Keys) == 1 {
-			return s.applyPoint(op.Keys[0], func(ix *Index) bool {
-				return ix.Delete(op.Keys[0])
-			})
-		}
 		return s.applyBatch(op.Keys, func(sh *shard, ks []float64, _ []int) int {
 			return sh.idx.DeleteBatch(ks)
 		}, false)
@@ -379,12 +376,13 @@ func (s *ShardedIndex) Apply(op Op) int {
 		if op.Payloads != nil && len(op.Payloads) != len(op.Keys) {
 			panic("alex: len(payloads) != len(keys)")
 		}
+		payloads := op.Payloads
 		return s.applyBatch(op.Keys, func(sh *shard, ks []float64, at []int) int {
 			var ps []uint64
-			if op.Payloads != nil {
+			if payloads != nil {
 				ps = make([]uint64, len(ks))
 				for j, p := range at {
-					ps[j] = op.Payloads[p]
+					ps[j] = payloads[p]
 				}
 			}
 			return sh.idx.Merge(ks, ps)
@@ -393,20 +391,18 @@ func (s *ShardedIndex) Apply(op Op) int {
 	panic("alex: unknown op kind")
 }
 
-// applyPoint runs one single-key mutation on the owning shard, with
-// the seqlock bumps that let optimistic readers of this shard detect
-// the overlap.
-func (s *ShardedIndex) applyPoint(key float64, mut func(*Index) bool) int {
+// point is the single-key write path: it runs Index.point on the
+// owning shard, with the seqlock bumps that let optimistic readers of
+// this shard detect the overlap, and advances the drift clock. No Op
+// or closure is built, so a point write allocates nothing here.
+func (s *ShardedIndex) point(kind OpKind, key float64, payload uint64) bool {
 	sh := s.writeShard(key)
 	sh.seq.Add(1) // odd: mutation in flight
-	changed := mut(sh.idx)
+	changed := sh.idx.point(kind, key, payload)
 	sh.seq.Add(1)
 	sh.mu.Unlock()
 	s.noteWrites(1)
-	if changed {
-		return 1
-	}
-	return 0
+	return changed
 }
 
 // applyBatch fans one multi-key mutation out across the owning shards.
@@ -419,14 +415,12 @@ func (s *ShardedIndex) applyBatch(keys []float64, op func(sh *shard, ks []float6
 // Insert adds key with payload; see Index.Insert. Only the owning
 // shard is locked, so inserts to different shards run in parallel.
 func (s *ShardedIndex) Insert(key float64, payload uint64) bool {
-	k, p := [1]float64{key}, [1]uint64{payload}
-	return s.Apply(Op{Kind: OpInsert, Keys: k[:], Payloads: p[:]}) > 0
+	return s.point(OpInsert, key, payload)
 }
 
 // Delete removes key.
 func (s *ShardedIndex) Delete(key float64) bool {
-	k := [1]float64{key}
-	return s.Apply(Op{Kind: OpDelete, Keys: k[:]}) > 0
+	return s.point(OpDelete, key, 0)
 }
 
 // Update overwrites the payload of an existing key.

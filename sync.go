@@ -127,12 +127,16 @@ func (s *SyncIndex) Contains(key float64) bool {
 }
 
 // Apply executes one mutation under a single write-lock acquisition.
-// It is the only path that mutates the wrapped index: the point and
-// batch write methods construct Ops over it, and DurableIndex replays
-// WAL records through it, so all three share identical semantics. The
-// seqlock bumps around the mutation are what let concurrent readers
-// detect the overlap and retry.
+// It is the only path that mutates the wrapped index: the batch write
+// methods construct Ops over it, its single-key arms are the point
+// helper Insert and Delete call, and DurableIndex replays WAL records
+// through it, so all of them share identical semantics. The seqlock
+// bumps around the mutation are what let concurrent readers detect the
+// overlap and retry.
 func (s *SyncIndex) Apply(op Op) int {
+	if key, payload, ok := op.point(); ok {
+		return affected(s.point(op.Kind, key, payload))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq.Add(1) // odd: mutation in flight
@@ -140,16 +144,24 @@ func (s *SyncIndex) Apply(op Op) int {
 	return s.idx.Apply(op)
 }
 
+// point is the single-key write path: Index.point under the write lock
+// and the seqlock bumps, with no Op built.
+func (s *SyncIndex) point(kind OpKind, key float64, payload uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seq.Add(1) // odd: mutation in flight
+	defer s.seq.Add(1)
+	return s.idx.point(kind, key, payload)
+}
+
 // Insert adds key with payload; see Index.Insert.
 func (s *SyncIndex) Insert(key float64, payload uint64) bool {
-	k, p := [1]float64{key}, [1]uint64{payload}
-	return s.Apply(Op{Kind: OpInsert, Keys: k[:], Payloads: p[:]}) > 0
+	return s.point(OpInsert, key, payload)
 }
 
 // Delete removes key.
 func (s *SyncIndex) Delete(key float64) bool {
-	k := [1]float64{key}
-	return s.Apply(Op{Kind: OpDelete, Keys: k[:]}) > 0
+	return s.point(OpDelete, key, 0)
 }
 
 // Update overwrites the payload of an existing key. It takes the write

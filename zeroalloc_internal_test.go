@@ -116,3 +116,69 @@ func TestZeroAllocLockedReadPaths(t *testing.T) {
 	sh.SetOptimisticReads(false)
 	testZeroAllocReads(t, "ShardedIndex(locked)", sh, keys)
 }
+
+// pointWriter is the single-key write surface every layer shares.
+type pointWriter interface {
+	Insert(key float64, payload uint64) bool
+	Update(key float64, payload uint64) bool
+	Delete(key float64) bool
+}
+
+// testZeroAllocWrites checks the point writes that leave a leaf's shape
+// alone: they must not allocate on any layer. keys are stored in idx.
+func testZeroAllocWrites(t *testing.T, name string, idx pointWriter, keys []float64) {
+	i := 0
+	assertZeroAlloc(t, name+".Insert(existing)", func() {
+		i++
+		idx.Insert(keys[(i*31)%len(keys)], uint64(i))
+	})
+	assertZeroAlloc(t, name+".Update", func() {
+		i++
+		idx.Update(keys[(i*17)%len(keys)], uint64(i))
+	})
+	assertZeroAlloc(t, name+".Delete(absent)", func() {
+		i++
+		idx.Delete(keys[(i*13)%len(keys)] + 0.5)
+	})
+	// Deleting one key leaves a gap that its reinsert claims again, so
+	// no leaf expands, contracts or splits.
+	assertZeroAlloc(t, name+".Delete+Insert", func() {
+		i++
+		k := keys[(i*7)%len(keys)]
+		if !idx.Delete(k) || !idx.Insert(k, uint64(i)) {
+			t.Fatalf("%s: delete+reinsert of %v did not round-trip", name, k)
+		}
+	})
+}
+
+// TestZeroAllocPointWrites: a point write that stays inside a leaf's
+// gaps allocates nothing from the facade down to the leaf — on the bare
+// Index, both concurrency wrappers and the WAL-backed DurableIndex.
+func TestZeroAllocPointWrites(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; assertions hold on normal builds only")
+	}
+	keys := allocKeys(20000)
+
+	testZeroAllocWrites(t, "Index", LoadSorted(keys, nil), keys)
+
+	sy, err := LoadSync(keys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testZeroAllocWrites(t, "SyncIndex", sy, keys)
+
+	sh, err := LoadSharded(8, keys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testZeroAllocWrites(t, "ShardedIndex", sh, keys)
+
+	d, err := OpenDurable(t.TempDir(), WithFsyncPolicy(FsyncInterval), WithCheckpointEvery(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.InsertBatch(keys, make([]uint64, len(keys)))
+	testZeroAllocWrites(t, "DurableIndex", d, keys)
+}
